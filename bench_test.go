@@ -32,14 +32,15 @@ var (
 	workbenchErr  error
 )
 
-// sharedWorkbench trains the MoSConS models once for all attack benchmarks.
-func sharedWorkbench(b *testing.B) *eval.Workbench {
-	b.Helper()
+// sharedWorkbench trains the MoSConS models once for all attack benchmarks
+// and the extraction tests of this package.
+func sharedWorkbench(tb testing.TB) *eval.Workbench {
+	tb.Helper()
 	workbenchOnce.Do(func() {
 		workbench, workbenchErr = eval.NewWorkbench(benchScale())
 	})
 	if workbenchErr != nil {
-		b.Fatal(workbenchErr)
+		tb.Fatal(workbenchErr)
 	}
 	return workbench
 }
