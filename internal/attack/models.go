@@ -378,7 +378,7 @@ func (m *Models) trainVoting(ctx context.Context, lts []*labelledTrace) error {
 	var valLong, valOp []lstm.Sequence
 	for _, lt := range lts {
 		// One batched forward per head over all iterations of the trace;
-		// bit-identical to per-iteration Predict calls, far fewer gemv stalls.
+		// bit-identical to per-iteration Predict calls, on wider GEMMs.
 		iterInputs := make([][][]float64, len(lt.iters))
 		for i, it := range lt.iters {
 			iterInputs[i] = lt.features[it.Start:it.End]

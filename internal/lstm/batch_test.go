@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"leakydnn/internal/mat"
 )
 
 // randBatchSeqs builds a deterministic masked dataset with varied lengths so
@@ -37,10 +39,10 @@ func randBatchSeqs(seed int64, count, inputDim, classes int, masked bool) []Sequ
 	return seqs
 }
 
-// The batched trainer at Batch=1 must reproduce Network.backward bit for bit:
-// same loss, same stats, same gradient bits. This is the property that lets
-// Train route everything through the GEMM path without moving the FP64
-// golden hashes.
+// The float64 trainer at Batch=1 must reproduce the per-sequence oracle
+// backward bit for bit: same loss, same stats, same gradient bits. This is
+// the property that lets Train route everything through the GEMM engine
+// without moving the FP64 golden hashes.
 func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	n, err := New(Config{
 		InputDim: 3, Hidden: 5, Classes: 4, Seed: 77,
@@ -51,10 +53,10 @@ func TestBatchedRunMatchesBackwardAtBatch1(t *testing.T) {
 	}
 	seqs := randBatchSeqs(31, 8, 3, 4, true)
 
-	bt := n.newBatchTrainer(1)
+	bt := newTrainer[float64](n, 1)
 	g, s := n.newGrads(), n.newScratch()
 	for i := range seqs {
-		loss, counted, correct := bt.run(seqs, []int{i})
+		loss, counted, correct := bt.minibatch(seqs, []int{i})
 		g.zero()
 		wantLoss, wantCounted, wantCorrect := n.backward(seqs[i], g, s)
 		if loss != wantLoss || counted != wantCounted || correct != wantCorrect {
@@ -87,17 +89,17 @@ func TestBatchedGradientMatchesNumeric(t *testing.T) {
 	}
 	seqs := randBatchSeqs(47, 3, 2, 3, false)
 	idx := []int{0, 1, 2}
-	bt := n.newBatchTrainer(len(idx))
+	bt := newTrainer[float64](n, len(idx))
 
 	// The probes below poke the master weights directly, so re-derive the
 	// trainer's transposed copies first — exactly what Train does after
 	// every optimizer step.
 	batchLoss := func() float64 {
-		bt.refreshWeights()
-		loss, _, _ := bt.run(seqs, idx)
+		bt.w.refresh(n)
+		loss, _, _ := bt.minibatch(seqs, idx)
 		return loss
 	}
-	bt.run(seqs, idx)
+	bt.minibatch(seqs, idx)
 	// Copy the analytic gradient out before the probe runs overwrite bt.g.
 	analytic := n.newGrads()
 	analytic.add(bt.g)
@@ -124,10 +126,10 @@ func TestBatchedGradientMatchesNumeric(t *testing.T) {
 	check("by", n.by, analytic.by)
 }
 
-// The batched forward pass has no cross-sequence reductions, so batched
-// inference must be bit-identical to per-sequence PredictProbs at every
-// batch width — including widths above predictBatchWidth, exercising the
-// chunking.
+// The batched forward pass has no cross-sequence reductions, so inference
+// must be bit-identical to the per-sequence oracle at every batch width:
+// width 1 (Predict's), a partial chunk, and widths above predictBatchWidth,
+// exercising the chunking.
 func TestPredictProbsBatchBitIdentical(t *testing.T) {
 	n, err := New(Config{InputDim: 4, Hidden: 6, Classes: 3, Seed: 91})
 	if err != nil {
@@ -140,84 +142,198 @@ func TestPredictProbsBatchBitIdentical(t *testing.T) {
 		inputs[i] = s.Inputs
 	}
 
-	batched, err := n.PredictProbsBatch(inputs)
+	wide, err := n.predictProbsBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := n.predictProbsBatch(inputs[:7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := n.PredictBatch(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seq := range inputs {
-		want, err := n.PredictProbs(seq)
+		want := n.oracleProbs(seq)
+		single, err := n.predictProbs(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batched[i]) != len(want) {
-			t.Fatalf("seq %d: %d timesteps batched, %d sequential", i, len(batched[i]), len(want))
+		pred, err := n.Predict(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string][][]float64{"batched": wide[i], "width-1": single}
+		if i < len(partial) {
+			runs["partial"] = partial[i]
+		}
+		for name, got := range runs {
+			if len(got) != len(want) {
+				t.Fatalf("seq %d: %d timesteps %s, %d oracle", i, len(got), name, len(want))
+			}
+			for ts := range want {
+				for j := range want[ts] {
+					if math.Float64bits(got[ts][j]) != math.Float64bits(want[ts][j]) {
+						t.Fatalf("seq %d t=%d class %d: %s %b != oracle %b",
+							i, ts, j, name, got[ts][j], want[ts][j])
+					}
+				}
+			}
 		}
 		for ts := range want {
-			for j := range want[ts] {
-				if math.Float64bits(batched[i][ts][j]) != math.Float64bits(want[ts][j]) {
-					t.Fatalf("seq %d t=%d class %d: batched %b != sequential %b",
-						i, ts, j, batched[i][ts][j], want[ts][j])
-				}
+			if w := mat.ArgMax(want[ts]); pred[ts] != w || labels[i][ts] != w {
+				t.Fatalf("seq %d t=%d: Predict %d, PredictBatch %d, oracle argmax %d",
+					i, ts, pred[ts], labels[i][ts], w)
 			}
 		}
 	}
 
-	if _, err := n.PredictProbsBatch([][][]float64{{}}); err == nil {
+	if _, err := n.PredictBatch([][][]float64{{}}); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
-	if _, err := n.PredictProbsBatch([][][]float64{{{1, 2}}}); err == nil {
+	if _, err := n.PredictBatch([][][]float64{{{1, 2}}}); err == nil {
 		t.Fatal("wrong input dim accepted")
 	}
 }
 
-// PredictProbs draws scratches from a pool; concurrent callers must get
-// distinct buffers and identical results. Run under -race this pins the
-// goroutine-safety the pooling must preserve.
+// Inference draws forward states from a pool and derives its weights
+// lazily; concurrent callers must get distinct buffers and identical
+// results. The weight cache is dropped before the fan-out so the goroutines
+// also race to derive it, and width-1 and full-width calls interleave so
+// states of both widths circulate through the pool. Run under -race this
+// pins the goroutine-safety the pooling must preserve.
 func TestPredictProbsConcurrentPooled(t *testing.T) {
 	n, err := New(Config{InputDim: 3, Hidden: 8, Classes: 4, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqs := randBatchSeqs(71, 6, 3, 4, false)
-
-	want := make([][][]float64, len(seqs))
+	inputs := make([][][]float64, len(seqs))
 	for i, s := range seqs {
-		p, err := n.PredictProbs(s.Inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = p
+		inputs[i] = s.Inputs
 	}
+	want, err := n.predictProbsBatch(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.inferW.Store(nil)
 
+	same := func(got [][]float64, i int) bool {
+		for ts := range got {
+			for j := range got[ts] {
+				if got[ts][j] != want[i][ts][j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 10; rep++ {
-				for i, s := range seqs {
-					p, err := n.PredictProbs(s.Inputs)
+				if (w+rep)%2 == 0 {
+					all, err := n.predictProbsBatch(inputs)
 					if err != nil {
 						errs <- err.Error()
 						return
 					}
-					for ts := range p {
-						for j := range p[ts] {
-							if p[ts][j] != want[i][ts][j] {
-								errs <- "concurrent PredictProbs diverged from serial result"
-								return
-							}
+					for i := range all {
+						if !same(all[i], i) {
+							errs <- "concurrent batched inference diverged from serial result"
+							return
 						}
+					}
+					continue
+				}
+				for i, seq := range inputs {
+					p, err := n.predictProbs(seq)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if !same(p, i) {
+						errs <- "concurrent width-1 inference diverged from serial result"
+						return
 					}
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// Inference caches its transposed weights per weight version. Training must
+// invalidate them: after Predict warms the cache, one more epoch of Train
+// and a second Predict must agree bit for bit with a freshly loaded copy of
+// the trained network, which has never cached anything.
+func TestPredictAfterTrainMatchesFreshLoad(t *testing.T) {
+	n, err := New(Config{InputDim: 3, Hidden: 6, Classes: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := randBatchSeqs(61, 8, 3, 4, true)
+	probe := seqs[0].Inputs
+	if _, err := n.Train(seqs, 1); err != nil {
+		t.Fatal(err)
+	}
+	before, err := n.predictProbs(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Train(seqs, 1); err != nil {
+		t.Fatal(err)
+	}
+	after, err := n.predictProbs(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.predictProbs(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for ts := range want {
+		for j := range want[ts] {
+			if math.Float64bits(after[ts][j]) != math.Float64bits(want[ts][j]) {
+				t.Fatalf("t=%d class %d: post-training prediction %v, fresh load %v (stale weight cache)",
+					ts, j, after[ts][j], want[ts][j])
+			}
+			changed = changed || before[ts][j] != after[ts][j]
+		}
+	}
+	if !changed {
+		t.Fatal("the extra epoch left predictions unchanged; the test cannot see a stale cache")
+	}
+	wantLabels, err := fresh.Predict(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLabels, err := n.Predict(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := range wantLabels {
+		if gotLabels[ts] != wantLabels[ts] {
+			t.Fatalf("t=%d: Predict %d after training, fresh load %d", ts, gotLabels[ts], wantLabels[ts])
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"leakydnn/internal/mat"
 )
@@ -51,8 +52,9 @@ type Config struct {
 	// is bit-identical to the historical trainer at Batch=1 and is what every
 	// FP64 golden hash pins. PrecisionFP32 runs forward/backward in float32
 	// (float64 Adam masters) — roughly twice the GEMM throughput for a
-	// deliberately different, separately-pinned trajectory. Inference always
-	// runs float64 regardless of this setting.
+	// deliberately different, separately-pinned trajectory. Both run the one
+	// engine in batch.go; inference always runs it at float64 regardless of
+	// this setting.
 	Precision Precision
 }
 
@@ -115,8 +117,8 @@ type Sequence struct {
 	Mask   []bool // nil = all timesteps count
 }
 
-// errEmptySequence and fmtInputDimError are shared by the per-sequence and
-// batched entry points so both report identical diagnostics.
+// errEmptySequence and fmtInputDimError are shared by training and
+// inference validation so both report identical diagnostics.
 var errEmptySequence = errors.New("lstm: empty sequence")
 
 func fmtInputDimError(t, got, want int) error {
@@ -147,7 +149,7 @@ func (s Sequence) validate(inputDim, classes int) error {
 }
 
 // Network is a trained (or trainable) LSTM classifier. Predict and
-// PredictProbs are safe for concurrent use on a trained network; Train is
+// PredictBatch are safe for concurrent use on a trained network; Train is
 // not (it parallelizes internally instead, see Config.Workers).
 type Network struct {
 	cfg Config
@@ -169,10 +171,13 @@ type Network struct {
 	// already consumed instead of replaying epoch 0's permutations.
 	trainedEpochs int64
 
-	// scratchPool recycles inference scratches across PredictProbs calls.
-	// Each Get hands out a distinct scratch, so concurrent prediction on a
-	// trained network stays safe while steady-state calls stop allocating.
-	scratchPool sync.Pool
+	// inferW caches the transposed weights inference reads, derived once per
+	// weight version; applyGrads drops it whenever the masters change.
+	inferW atomic.Pointer[weights[float64]]
+	// forwards recycles inference forward states across calls. Each Get
+	// hands out a distinct state, so concurrent prediction stays safe while
+	// steady-state calls stop allocating step buffers.
+	forwards sync.Pool
 }
 
 // New builds a network with Xavier-style initialization.
@@ -203,143 +208,6 @@ func New(cfg Config) (*Network, error) {
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// stepCache holds one timestep's forward intermediates for BPTT. Its gate
-// and state vectors are views into one contiguous per-step buffer owned by a
-// scratch, so a whole timestep costs one allocation — amortized to zero once
-// the scratch has grown to the longest sequence it has seen.
-type stepCache struct {
-	x            []float64
-	i, f, g, o   []float64
-	c, h, tanhC  []float64
-	probs        []float64
-	hPrev, cPrev []float64
-}
-
-// scratch holds the reusable forward/backward buffers for one goroutine.
-// Reusing a scratch across calls eliminates the per-timestep allocation
-// churn of training; concurrent callers must use distinct scratches (each
-// minibatch slot owns one).
-type scratch struct {
-	hidden, classes int
-	steps           []*stepCache
-	zero            []float64 // read-only all-zero h/c state for t=0
-	z               []float64 // 4H gate pre-activations
-	logits          []float64 // C readout logits
-	dh, dc, hTmp    []float64 // H-sized backward temporaries
-	dhNext, dcNext  []float64
-	dz              []float64 // 4H stacked gate deltas
-	dLogits         []float64 // C softmax/cross-entropy delta
-}
-
-func (n *Network) newScratch() *scratch {
-	h, c := n.cfg.Hidden, n.cfg.Classes
-	return &scratch{
-		hidden: h, classes: c,
-		zero:    make([]float64, h),
-		z:       make([]float64, 4*h),
-		logits:  make([]float64, c),
-		dh:      make([]float64, h),
-		dc:      make([]float64, h),
-		hTmp:    make([]float64, h),
-		dhNext:  make([]float64, h),
-		dcNext:  make([]float64, h),
-		dz:      make([]float64, 4*h),
-		dLogits: make([]float64, c),
-	}
-}
-
-// getScratch returns a pooled scratch (allocating on a cold pool); callers
-// return it with putScratch once every value they need has been copied out.
-func (n *Network) getScratch() *scratch {
-	if s, ok := n.scratchPool.Get().(*scratch); ok {
-		return s
-	}
-	return n.newScratch()
-}
-
-func (n *Network) putScratch(s *scratch) { n.scratchPool.Put(s) }
-
-// step returns the t-th reusable step cache, growing the pool on demand.
-func (s *scratch) step(t int) *stepCache {
-	for len(s.steps) <= t {
-		h := s.hidden
-		buf := make([]float64, 7*h)
-		s.steps = append(s.steps, &stepCache{
-			i: buf[0:h], f: buf[h : 2*h], g: buf[2*h : 3*h], o: buf[3*h : 4*h],
-			c: buf[4*h : 5*h], h: buf[5*h : 6*h], tanhC: buf[6*h : 7*h],
-			probs: make([]float64, s.classes),
-		})
-	}
-	return s.steps[t]
-}
-
-// forward runs the network over the sequence into s, returning per-step
-// caches valid until the scratch's next use.
-func (n *Network) forward(inputs [][]float64, s *scratch) []*stepCache {
-	h := n.cfg.Hidden
-	hPrev, cPrev := s.zero, s.zero
-
-	for t, x := range inputs {
-		sc := s.step(t)
-		sc.x, sc.hPrev, sc.cPrev = x, hPrev, cPrev
-		z := s.z
-		mat.MulVecInto(z, n.wx, x)
-		mat.MulVecAccum(z, n.wh, hPrev)
-		mat.AddVec(z, n.b)
-
-		for j := 0; j < h; j++ {
-			sc.i[j] = mat.Sigmoid(z[j])
-			sc.f[j] = mat.Sigmoid(z[h+j])
-			sc.g[j] = math.Tanh(z[2*h+j])
-			sc.o[j] = mat.Sigmoid(z[3*h+j])
-			sc.c[j] = sc.f[j]*cPrev[j] + sc.i[j]*sc.g[j]
-			sc.tanhC[j] = math.Tanh(sc.c[j])
-			sc.h[j] = sc.o[j] * sc.tanhC[j]
-		}
-		mat.MulVecInto(s.logits, n.wy, sc.h)
-		mat.AddVec(s.logits, n.by)
-		mat.SoftmaxInto(sc.probs, s.logits)
-
-		hPrev, cPrev = sc.h, sc.c
-	}
-	return s.steps[:len(inputs)]
-}
-
-// PredictProbs returns per-timestep class probabilities for the sequence.
-// Scratch buffers are pooled across calls, so steady-state prediction does
-// not allocate per timestep; concurrent calls each draw their own scratch.
-func (n *Network) PredictProbs(inputs [][]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, errEmptySequence
-	}
-	for t, x := range inputs {
-		if len(x) != n.cfg.InputDim {
-			return nil, fmtInputDimError(t, len(x), n.cfg.InputDim)
-		}
-	}
-	s := n.getScratch()
-	caches := n.forward(inputs, s)
-	out := make([][]float64, len(caches))
-	for t, sc := range caches {
-		out[t] = mat.CloneVec(sc.probs)
-	}
-	n.putScratch(s)
-	return out, nil
-}
-
-// Predict returns per-timestep argmax class predictions.
-func (n *Network) Predict(inputs [][]float64) ([]int, error) {
-	probs, err := n.PredictProbs(inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probs))
-	for t, p := range probs {
-		out[t] = mat.ArgMax(p)
-	}
-	return out, nil
-}
-
 // grads mirrors the parameter set.
 type grads struct {
 	wx, wh, wy *mat.Matrix
@@ -356,107 +224,6 @@ func (n *Network) newGrads() *grads {
 	}
 }
 
-// zero resets every gradient buffer in place.
-func (g *grads) zero() {
-	g.wx.Zero()
-	g.wh.Zero()
-	g.wy.Zero()
-	zeroVec(g.b)
-	zeroVec(g.by)
-}
-
-// add accumulates o into g.
-func (g *grads) add(o *grads) {
-	g.wx.Add(o.wx)
-	g.wh.Add(o.wh)
-	g.wy.Add(o.wy)
-	mat.AddVec(g.b, o.b)
-	mat.AddVec(g.by, o.by)
-}
-
-// reduceGrads sums the partial gradients into dst in slice order. The
-// summation order is fixed — index 0 first, then 1, and so on — so the
-// reduced gradient is independent of which worker produced which partial;
-// this is the property the cross-worker determinism guarantee rests on,
-// since floating-point addition is not associative.
-func reduceGrads(dst *grads, partials []*grads) {
-	dst.zero()
-	for _, p := range partials {
-		dst.add(p)
-	}
-}
-
-// backward accumulates gradients for one sequence into g, using s for every
-// intermediate buffer. It returns the sequence's summed weighted
-// cross-entropy loss, the number of counted timesteps, and how many of them
-// the forward pass already classified correctly — the epoch's monitoring
-// stats, at no extra forward cost.
-func (n *Network) backward(seq Sequence, g *grads, s *scratch) (loss float64, counted, correct int) {
-	caches := n.forward(seq.Inputs, s)
-	h := n.cfg.Hidden
-
-	dhNext, dcNext := s.dhNext, s.dcNext
-	zeroVec(dhNext)
-	zeroVec(dcNext)
-
-	for t := len(caches) - 1; t >= 0; t-- {
-		sc := caches[t]
-		dh := s.dh
-		copy(dh, dhNext)
-
-		if seq.Mask == nil || seq.Mask[t] {
-			label := seq.Labels[t]
-			w := 1.0
-			if n.cfg.ClassWeights != nil {
-				w = n.cfg.ClassWeights[label]
-			}
-			p := sc.probs[label]
-			if p < 1e-12 {
-				p = 1e-12
-			}
-			loss += -w * math.Log(p)
-			counted++
-			if mat.ArgMax(sc.probs) == label {
-				correct++
-			}
-
-			dLogits := s.dLogits
-			copy(dLogits, sc.probs)
-			dLogits[label] -= 1
-			mat.ScaleVec(dLogits, w)
-
-			g.wy.AddOuter(dLogits, sc.h)
-			mat.AddVec(g.by, dLogits)
-			mat.MulVecTInto(s.hTmp, n.wy, dLogits)
-			mat.AddVec(dh, s.hTmp)
-		}
-
-		// Through h = o * tanh(c); the output-gate delta lands directly in
-		// its dz quarter.
-		dz := s.dz
-		dc := s.dc
-		copy(dc, dcNext)
-		for j := 0; j < h; j++ {
-			dz[3*h+j] = dh[j] * sc.tanhC[j] * sc.o[j] * (1 - sc.o[j])
-			dc[j] += dh[j] * sc.o[j] * (1 - sc.tanhC[j]*sc.tanhC[j])
-		}
-
-		// Through c = f*cPrev + i*g, filling the input/forget/cell quarters.
-		for j := 0; j < h; j++ {
-			dz[j] = dc[j] * sc.g[j] * sc.i[j] * (1 - sc.i[j])
-			dz[h+j] = dc[j] * sc.cPrev[j] * sc.f[j] * (1 - sc.f[j])
-			dz[2*h+j] = dc[j] * sc.i[j] * (1 - sc.g[j]*sc.g[j])
-			dcNext[j] = dc[j] * sc.f[j]
-		}
-
-		g.wx.AddOuter(dz, sc.x)
-		g.wh.AddOuter(dz, sc.hPrev)
-		mat.AddVec(g.b, dz)
-		mat.MulVecTInto(dhNext, n.wh, dz)
-	}
-	return loss, counted, correct
-}
-
 // TrainResult reports one epoch of training.
 type TrainResult struct {
 	Epoch    int
@@ -466,16 +233,16 @@ type TrainResult struct {
 
 // Train runs the given number of epochs of minibatch Adam updates over the
 // training set (shuffled each epoch) and returns per-epoch stats. Every
-// minibatch runs through the batched GEMM trainer (batch.go). At the default
-// Batch of 1 with PrecisionFP64 this reproduces the historical per-sequence
-// update schedule bit for bit: the batched kernels accumulate every output
-// cell in exactly the order the per-sequence kernels did. Larger batches
-// accumulate the members' gradients in one rank-B GEMM update before a
-// shared Adam step — a different (cross-sequence) reduction order than the
-// historical reduceGrads schedule, so Batch>1 runs are deterministic and
-// worker-independent but not bit-comparable to pre-GEMM builds.
-// Config.Workers only partitions GEMM output cells, never a reduction, so
-// any worker count trains a byte-identical network.
+// minibatch runs through the batched engine (batch.go) at the configured
+// precision. At the default Batch of 1 with PrecisionFP64 this reproduces the
+// per-sequence update schedule bit for bit: the batched kernels accumulate
+// every output cell in exactly the order per-sequence BPTT does. Larger
+// batches accumulate the members' gradients in one rank-B GEMM update before
+// a shared Adam step, a cross-sequence reduction order of their own, so
+// Batch>1 runs are deterministic and worker-independent but not
+// bit-comparable to Batch=1 runs. Config.Workers only partitions GEMM output
+// cells, never a reduction, so any worker count trains a byte-identical
+// network.
 //
 // The reported stats are the masked accuracy and loss of the forward passes
 // the backward pass performs anyway — predictions under the weights in
@@ -493,70 +260,11 @@ func (n *Network) Train(seqs []Sequence, epochs int) ([]TrainResult, error) {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
 	}
-
-	batch := n.cfg.Batch
-	if batch > len(seqs) {
-		batch = len(seqs)
-	}
-
-	// The precision paths share everything but the minibatch-gradient
-	// producer: runBatch leaves the summed gradient in g, and postStep (FP32
-	// only) refreshes the float32 shadow weights after each Adam update.
-	var (
-		runBatch func(idx []int) (loss float64, counted, correct int)
-		g        *grads
-		postStep func()
-	)
+	batch := min(n.cfg.Batch, len(seqs))
 	if n.cfg.Precision == PrecisionFP32 {
-		bt := n.newBatchTrainer32(batch)
-		runBatch = func(idx []int) (float64, int, int) { return bt.run(seqs, idx) }
-		g = bt.g
-		postStep = func() { bt.w.refresh(n) }
-	} else {
-		bt := n.newBatchTrainer(batch)
-		runBatch = func(idx []int) (float64, int, int) { return bt.run(seqs, idx) }
-		g = bt.g
-		postStep = func() { bt.refreshWeights() }
+		return newTrainer[float32](n, batch).train(seqs, epochs), nil
 	}
-
-	order := make([]int, len(seqs))
-	for i := range order {
-		order[i] = i
-	}
-
-	results := make([]TrainResult, 0, epochs)
-	for epoch := 0; epoch < epochs; epoch++ {
-		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-		var totalLoss float64
-		var totalCounted, totalCorrect int
-		for start := 0; start < len(order); start += batch {
-			end := start + batch
-			if end > len(order) {
-				end = len(order)
-			}
-			loss, counted, correct := runBatch(order[start:end])
-			totalLoss += loss
-			totalCounted += counted
-			totalCorrect += correct
-			if counted == 0 {
-				continue
-			}
-			n.applyGrads(g, counted)
-			if postStep != nil {
-				postStep()
-			}
-		}
-
-		res := TrainResult{Epoch: epoch}
-		if totalCounted > 0 {
-			res.AvgLoss = totalLoss / float64(totalCounted)
-			res.Accuracy = float64(totalCorrect) / float64(totalCounted)
-		}
-		results = append(results, res)
-		n.trainedEpochs++
-	}
-	return results, nil
+	return newTrainer[float64](n, batch).train(seqs, epochs), nil
 }
 
 // applyGrads performs the shared post-minibatch update: average the summed
@@ -570,6 +278,7 @@ func (n *Network) applyGrads(g *grads, batchCounted int) {
 	mat.ScaleVec(g.by, scale)
 	n.clip(g)
 	n.adam.step(n, g)
+	n.inferW.Store(nil)
 }
 
 func (n *Network) clip(g *grads) {
@@ -588,11 +297,5 @@ func clipVec(v []float64, lim float64) {
 		} else if x < -lim {
 			v[i] = -lim
 		}
-	}
-}
-
-func zeroVec(v []float64) {
-	for i := range v {
-		v[i] = 0
 	}
 }

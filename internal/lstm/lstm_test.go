@@ -33,7 +33,7 @@ func TestPredictShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	probs, err := n.PredictProbs(seq)
+	probs, err := n.predictProbs(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +49,10 @@ func TestPredictShapes(t *testing.T) {
 			t.Fatalf("probs[%d] sum = %v", t2, sum)
 		}
 	}
-	if _, err := n.PredictProbs(nil); err == nil {
+	if _, err := n.predictProbs(nil); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
-	if _, err := n.PredictProbs([][]float64{{1, 2}}); err == nil {
+	if _, err := n.predictProbs([][]float64{{1, 2}}); err == nil {
 		t.Fatal("wrong input dim accepted")
 	}
 }
@@ -231,7 +231,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	want, err := n.PredictProbs(seq)
+	want, err := n.predictProbs(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.PredictProbs(seq)
+	got, err := loaded.predictProbs(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestDeterministicUnderSeed(t *testing.T) {
 		return n
 	}
 	a, b := build(), build()
-	pa, _ := a.PredictProbs([][]float64{{1, 1}})
-	pb, _ := b.PredictProbs([][]float64{{1, 1}})
+	pa, _ := a.predictProbs([][]float64{{1, 1}})
+	pb, _ := b.predictProbs([][]float64{{1, 1}})
 	for c := range pa[0] {
 		if pa[0][c] != pb[0][c] {
 			t.Fatal("identical seeds produced different networks")
@@ -334,7 +334,7 @@ func TestNumericalStabilityOnExtremeInputs(t *testing.T) {
 			seq[i] = []float64{-5, 5, -5}
 		}
 	}
-	probs, err := n.PredictProbs(seq)
+	probs, err := n.predictProbs(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestTrainingStableOnOutliers(t *testing.T) {
 	if _, err := n.Train(seqs, 10); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := n.PredictProbs([][]float64{{2, 2}})
+	probs, err := n.predictProbs([][]float64{{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 		var wantCounted, wantCorrect int
 		for _, idx := range order {
 			seq := seqs[idx]
-			probs, err := b.PredictProbs(seq.Inputs)
+			probs, err := b.predictProbs(seq.Inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,14 +248,7 @@ func TestEpochStatsMatchPreUpdatePredictions(t *testing.T) {
 			if counted == 0 {
 				continue
 			}
-			scale := 1 / float64(counted)
-			g.wx.Scale(scale)
-			g.wh.Scale(scale)
-			g.wy.Scale(scale)
-			mat.ScaleVec(g.b, scale)
-			mat.ScaleVec(g.by, scale)
-			b.clip(g)
-			b.adam.step(b, g)
+			b.applyGrads(g, counted)
 		}
 		res := results[epoch]
 		if wantAcc := float64(wantCorrect) / float64(wantCounted); res.Accuracy != wantAcc {

@@ -158,17 +158,3 @@ func SoftmaxInto32(dst, logits []float32) {
 		dst[i] /= sum
 	}
 }
-
-// ArgMax32 returns the index of the largest element of v (-1 for empty v).
-func ArgMax32(v []float32) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v[1:] {
-		if x > v[best] {
-			best = i + 1
-		}
-	}
-	return best
-}

@@ -277,36 +277,6 @@ func gemmTAAccumRows[F Float](dst, a, b []F, p, m, n, i0, i1 int) {
 	}
 }
 
-// MulInto computes dst = a·b with GemmInto's streaming kernel and ordering
-// guarantees (dst: a.Rows × b.Cols, overwritten; no aliasing).
-func MulInto(dst, a, b *Matrix, workers int) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: mulinto shape mismatch %dx%d = %dx%d * %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	GemmInto(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, workers)
-}
-
-// MulTB computes dst = a·bᵀ with GemmTB's unrolled dot-product kernel
-// (dst: a.Rows × b.Rows, overwritten; no aliasing).
-func MulTB(dst, a, b *Matrix, workers int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: multb shape mismatch %dx%d = %dx%d * %dx%dᵀ",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	GemmTB(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows, workers)
-}
-
-// MulTAAccum computes dst += aᵀ·b with GemmTAAccum's rank-p update kernel
-// (dst: a.Cols × b.Cols, accumulated; no aliasing).
-func MulTAAccum(dst, a, b *Matrix, workers int) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: multaaccum shape mismatch %dx%d += %dx%dᵀ * %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	GemmTAAccum(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, workers)
-}
-
 // partition splits n items into parts near-equal ranges and returns the
 // half-open bounds of part i. Only the assignment of cells to workers
 // depends on the split, never any cell's value.

@@ -316,8 +316,8 @@ func TestFast32Accuracy(t *testing.T) {
 	if math.Abs(float64(sum)-1) > 1e-6 {
 		t.Fatalf("SoftmaxInto32 sums to %v", sum)
 	}
-	if ArgMax32(probs) != 2 {
-		t.Fatalf("ArgMax32 = %d, want 2", ArgMax32(probs))
+	if ArgMax(probs) != 2 {
+		t.Fatalf("ArgMax = %d, want 2", ArgMax(probs))
 	}
 }
 

@@ -240,25 +240,6 @@ func (m *Matrix) Scale(s float64) {
 	}
 }
 
-// AddScaled computes m += s*n in place.
-func (m *Matrix) AddScaled(n *Matrix, s float64) {
-	m.checkSameShape(n, "addscaled")
-	for i, v := range n.Data {
-		m.Data[i] += s * v
-	}
-}
-
-// MaxAbs returns the largest absolute value in m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // ClipInPlace clamps every element of m to [-limit, limit].
 func (m *Matrix) ClipInPlace(limit float64) {
 	for i, v := range m.Data {

@@ -13,22 +13,6 @@ func AddVec(dst, src []float64) {
 	}
 }
 
-// SubVec computes dst -= src element-wise.
-func SubVec(dst, src []float64) {
-	checkVecLen(dst, src, "subvec")
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// HadamardVec computes dst *= src element-wise.
-func HadamardVec(dst, src []float64) {
-	checkVecLen(dst, src, "hadamardvec")
-	for i, v := range src {
-		dst[i] *= v
-	}
-}
-
 // ScaleVec multiplies every element of v by s in place.
 func ScaleVec(v []float64, s float64) {
 	for i := range v {
@@ -41,16 +25,6 @@ func CloneVec(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	checkVecLen(a, b, "dot")
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
 }
 
 // Softmax returns the softmax of logits as a fresh slice, computed in a
@@ -86,7 +60,7 @@ func SoftmaxInto(dst, logits []float64) {
 }
 
 // ArgMax returns the index of the largest element of v (-1 for empty v).
-func ArgMax(v []float64) int {
+func ArgMax[F Float](v []F) int {
 	if len(v) == 0 {
 		return -1
 	}

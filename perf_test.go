@@ -27,6 +27,13 @@ const maxCollectAllocs = 500
 // measurement.
 const maxFleetAllocs = 5000
 
+// maxExtractAllocs bounds one extraction of the last tiny tested trace.
+// Inference draws its forward state from a per-network pool, so
+// steady-state extraction allocates little beyond its result slices:
+// measured ~460, against ~3.3k for the per-sequence inference the batched
+// engine replaced and ~12k for the batched forward without its pool.
+const maxExtractAllocs = 1000
+
 // TestCollectAllocsRegression pins the steady-state allocation count of one
 // arena-backed trace collection.
 func TestCollectAllocsRegression(t *testing.T) {
@@ -76,6 +83,28 @@ func TestFleetCollectAllocsRegression(t *testing.T) {
 	if avg > maxFleetAllocs {
 		t.Errorf("fleet.Run allocates %.0f objects/run, ceiling %d — a hot-path allocation regressed",
 			avg, maxFleetAllocs)
+	}
+}
+
+// TestExtractAllocsRegression pins the steady-state allocation count of one
+// extraction, the serving hot path: nearly all of it is LSTM inference.
+func TestExtractAllocsRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	w := sharedWorkbench(t)
+	tr := w.Tested[len(w.Tested)-1]
+	extract := func() {
+		if _, err := w.Models.ExtractTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extract() // warm the inference pools and weight caches
+	avg := testing.AllocsPerRun(5, extract)
+	t.Logf("Models.ExtractTrace: %.0f allocs/run", avg)
+	if avg > maxExtractAllocs {
+		t.Errorf("Models.ExtractTrace allocates %.0f objects/run, ceiling %d — inference stopped pooling its state",
+			avg, maxExtractAllocs)
 	}
 }
 
