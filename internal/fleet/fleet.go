@@ -431,28 +431,40 @@ func superviseDevice(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.
 // runAttempt executes one device attempt, bounded by the watchdog. An
 // abandoned attempt keeps running on the pool until its horizon — its result
 // is discarded — which mirrors a real watchdog: the stuck process is given up
-// on, not surgically cancelled.
+// on, not surgically cancelled. Whether the attempt timed out is decided by
+// when its result was produced, never by which select case the scheduler
+// happens to run first.
 func runAttempt(cfg Config, spec DeviceSpec, pool *par.Pool, arenas *trace.ArenaPool, share *modelShare) (DeviceResult, error) {
 	if cfg.Watchdog <= 0 {
 		return runDevice(spec, pool, cfg.CollectOnly, arenas, share)
 	}
 	type outcome struct {
-		res DeviceResult
-		err error
+		res  DeviceResult
+		err  error
+		done time.Time
 	}
+	deadline := time.Now().Add(cfg.Watchdog)
 	ch := make(chan outcome, 1)
 	go func() {
 		r, e := runDevice(spec, pool, cfg.CollectOnly, arenas, share)
-		ch <- outcome{r, e}
+		ch <- outcome{r, e, time.Now()}
 	}()
 	timer := time.NewTimer(cfg.Watchdog)
 	defer timer.Stop()
+	var out outcome
 	select {
-	case out := <-ch:
-		return out.res, out.err
+	case out = <-ch:
 	case <-timer.C:
+		select {
+		case out = <-ch: // finished as the timer fired: its stamp decides
+		default:
+			return DeviceResult{}, errWatchdog
+		}
+	}
+	if out.done.After(deadline) {
 		return DeviceResult{}, errWatchdog
 	}
+	return out.res, out.err
 }
 
 // runDevice executes one device end to end: victim co-run under the device's

@@ -560,16 +560,14 @@ func transpose[T mat.Float](dst []T, src []float64, rows, cols int) {
 	}
 }
 
-// sigmoidInto and tanhInto use math at float64 and the AVX2-vectorized
-// polynomial kernels at float32.
+// sigmoidInto and tanhInto use the kernels bit-identical to math at float64
+// and the AVX2-vectorized polynomial kernels at float32.
 func sigmoidInto[T mat.Float](dst, src []T) {
 	switch d := any(dst).(type) {
 	case []float32:
 		mat.SigmoidInto32(d, any(src).([]float32))
 	case []float64:
-		for j, v := range any(src).([]float64) {
-			d[j] = mat.Sigmoid(v)
-		}
+		mat.SigmoidInto64(d, any(src).([]float64))
 	}
 }
 
@@ -578,9 +576,7 @@ func tanhInto[T mat.Float](dst, src []T) {
 	case []float32:
 		mat.TanhInto32(d, any(src).([]float32))
 	case []float64:
-		for j, v := range any(src).([]float64) {
-			d[j] = math.Tanh(v)
-		}
+		mat.TanhInto64(d, any(src).([]float64))
 	}
 }
 

@@ -2,6 +2,7 @@ package lstm
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -311,6 +312,39 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		if _, err := n.Train(seqs, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPredictBatch times FP64 inference at tiny-scale head dimensions
+// (In 14, Hidden 40): width 1 is the per-iteration Predict that extraction
+// runs, width 5 a PredictBatch over several voted iterations.
+func BenchmarkPredictBatch(b *testing.B) {
+	const in, steps = 14, 60
+	n, err := New(Config{InputDim: in, Hidden: 40, Classes: 6, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, width := range []int{1, 5} {
+		batch := make([][][]float64, width)
+		for s := range batch {
+			batch[s] = make([][]float64, steps)
+			for t := range batch[s] {
+				v := make([]float64, in)
+				for j := range v {
+					v[j] = rng.NormFloat64()
+				}
+				batch[s][t] = v
+			}
+		}
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := n.PredictBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*width*steps)/b.Elapsed().Seconds(), "timesteps/s")
+		})
 	}
 }
 

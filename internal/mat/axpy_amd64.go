@@ -19,9 +19,17 @@ var hasAVX = cpuHasAVX()
 // (VPADDD/VPSLLD). OS YMM-state support is covered by the hasAVX check.
 var hasAVX2 = hasAVX && cpuHasAVX2()
 
+// hasFMA reports AVX plus FMA3 support: math's own useFMA condition, under
+// which math.Exp takes the fused branch the float64 vector transcendentals
+// replicate.
+var hasFMA = hasAVX && cpuHasFMA()
+
 // cpuHasAVX executes CPUID leaf 1 and XGETBV to verify both the AVX feature
 // bit and OS support for YMM state.
 func cpuHasAVX() bool
+
+// cpuHasFMA executes CPUID leaf 1 and reports the FMA bit (ECX bit 12).
+func cpuHasFMA() bool
 
 // cpuHasAVX2 executes CPUID leaf 7 subleaf 0 and reports the AVX2 bit.
 func cpuHasAVX2() bool
@@ -37,6 +45,21 @@ func sigmoidVecAVX(dst, src *float32, n int)
 //
 //go:noescape
 func tanhVecAVX(dst, src *float32, n int)
+
+// expVec64, sigmoidVec64 and tanhVec64 write math.Exp(src[i]),
+// 1/(1+math.Exp(-src[i])) and math.Tanh(src[i]) to dst[i], bit-identical to
+// math's FMA branch, over leading 4-lane blocks. Each returns how many
+// elements it wrote: it stops at the tail or before the first block with a
+// lane outside its fast range, which the caller finishes in scalar.
+//
+//go:noescape
+func expVec64(dst, src *float64, n int) int
+
+//go:noescape
+func sigmoidVec64(dst, src *float64, n int) int
+
+//go:noescape
+func tanhVec64(dst, src *float64, n int) int
 
 // axpyQuadAVX computes, for j in [0,n):
 //

@@ -8,6 +8,19 @@ package mat
 
 const hasAVX = false
 const hasAVX2 = false
+const hasFMA = false
+
+func expVec64(dst, src *float64, n int) int {
+	panic("mat: expVec64 called without AVX2+FMA support")
+}
+
+func sigmoidVec64(dst, src *float64, n int) int {
+	panic("mat: sigmoidVec64 called without AVX2+FMA support")
+}
+
+func tanhVec64(dst, src *float64, n int) int {
+	panic("mat: tanhVec64 called without AVX2+FMA support")
+}
 
 func sigmoidVecAVX(dst, src *float32, n int) {
 	panic("mat: sigmoidVecAVX called without AVX2 support")

@@ -48,10 +48,12 @@ func SoftmaxInto(dst, logits []float64) {
 			max = v
 		}
 	}
-	var sum float64
 	for i, v := range logits {
-		e := math.Exp(v - max)
-		dst[i] = e
+		dst[i] = v - max
+	}
+	expInto64(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	for i := range dst {
