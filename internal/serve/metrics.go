@@ -33,6 +33,10 @@ type Metrics struct {
 	quarantineRotated atomic.Int64
 	tracesExtracted   atomic.Int64
 
+	// TooLarge counts uploads refused with 413 for exceeding MaxUploadBytes;
+	// they are not malformed, so they are never quarantined.
+	tooLarge atomic.Int64
+
 	// Replayed counts requests answered from the result journal (warm
 	// restart) without re-extraction; JournalFailures counts results that
 	// could not be durably recorded (served anyway, lost to the next restart).
@@ -58,6 +62,7 @@ type MetricsSnapshot struct {
 	Quarantined       int64 `json:"quarantined"`
 	QuarantineRotated int64 `json:"quarantine_rotated"`
 	TracesExtracted   int64 `json:"traces_extracted"`
+	TooLarge          int64 `json:"too_large"`
 	Replayed          int64 `json:"replayed"`
 	JournalFailures   int64 `json:"journal_failures"`
 	Queued            int64 `json:"queued"`
@@ -76,6 +81,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Quarantined:       m.quarantined.Load(),
 		QuarantineRotated: m.quarantineRotated.Load(),
 		TracesExtracted:   m.tracesExtracted.Load(),
+		TooLarge:          m.tooLarge.Load(),
 		Replayed:          m.replayed.Load(),
 		JournalFailures:   m.journalFailures.Load(),
 		Queued:            m.queued.Load(),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -346,6 +347,53 @@ func TestMalformedUploadQuarantined(t *testing.T) {
 	matches, _ = filepath.Glob(filepath.Join(qdir, "upload-*"))
 	if len(matches) != 1 {
 		t.Fatalf("good upload left a spool file: %v", matches)
+	}
+}
+
+// An upload past MaxUploadBytes is refused with a typed 413 — whether the
+// client declared its length or streamed it — and counted as too_large: it is
+// not malformed, so it is neither quarantined nor kept as a capture.
+func TestOversizeUploadRejectedTyped(t *testing.T) {
+	qdir := t.TempDir()
+	one := stubUpload(t)
+	s := New(Config{Scale: eval.Tiny(), QuarantineDir: qdir, Cache: stubCache(), MaxUploadBytes: int64(len(one)) + 100})
+	s.extract = func(ctx context.Context, m *attack.Models, tr *trace.Trace) (*attack.Recovery, error) {
+		return &attack.Recovery{}, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	two := append(append([]byte{}, one...), one...)
+	for _, streamed := range []bool{false, true} {
+		var body io.Reader = bytes.NewReader(two)
+		if streamed {
+			body = struct{ io.Reader }{body} // hides the length: chunked encoding
+		}
+		resp, err := ts.Client().Post(ts.URL+"/extract", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("streamed=%v: two-trace upload over the limit: status %d, want 413 (body %q)", streamed, resp.StatusCode, out)
+		}
+		if e := decodeError(t, out); e.Error != "upload_too_large" {
+			t.Fatalf("streamed=%v: typed error = %q, want upload_too_large", streamed, e.Error)
+		}
+	}
+	if resp, body := postExtract(t, ts.Client(), ts.URL, one); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload within the limit: status %d (body %q)", resp.StatusCode, body)
+	}
+	m := s.Metrics()
+	if m.TooLarge != 2 || m.Quarantined != 0 || m.Completed != 1 {
+		t.Fatalf("metrics = %+v, want too_large 2, quarantined 0, completed 1", m)
+	}
+	if left, _ := filepath.Glob(filepath.Join(qdir, "*")); len(left) != 0 {
+		t.Fatalf("oversize uploads left captures behind: %v", left)
 	}
 }
 

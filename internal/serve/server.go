@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"net/http"
@@ -58,7 +59,8 @@ type Config struct {
 	// MaxChunkBytes is the per-chunk wire guard handed to trace.Reader
 	// (0 = the reader's default).
 	MaxChunkBytes int64
-	// MaxUploadBytes bounds a whole request body (0 = 1 GiB).
+	// MaxUploadBytes bounds a whole request body (0 = 1 GiB); a larger one
+	// is refused with 413.
 	MaxUploadBytes int64
 
 	// QuarantineDir, when set, captures malformed uploads: the bytes consumed
@@ -364,7 +366,12 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Add(-1)
 	}()
 
-	traces, bodyHash, qpath, err := s.readUpload(r.Body)
+	traces, bodyHash, qpath, err := s.readUpload(r)
+	if errors.Is(err, errUploadTooLarge) {
+		s.metrics.tooLarge.Add(1)
+		writeError(w, http.StatusRequestEntityTooLarge, apiError{Error: "upload_too_large", Detail: err.Error()})
+		return
+	}
 	if err != nil {
 		s.metrics.quarantined.Add(1)
 		detail := err.Error()
@@ -465,17 +472,36 @@ func (s *Server) finishErr(w http.ResponseWriter, ctx context.Context, err error
 	}
 }
 
+// errUploadTooLarge marks an upload rejected for exceeding MaxUploadBytes: a
+// policy refusal, not damage, so it is neither quarantined nor spooled.
+var errUploadTooLarge = errors.New("serve: upload too large")
+
 // readUpload decodes the request body incrementally through trace.Reader —
 // the reader never preallocates what the wire merely claims, so a hostile
-// length header costs nothing. The consumed bytes are hashed on the way
-// through (the result journal's key half). On a parse error the consumed
-// prefix is kept in the quarantine directory (when configured) and the error
-// carries the reader's byte offset.
-func (s *Server) readUpload(body io.Reader) (traces []*trace.Trace, bodyHash, quarantined string, err error) {
-	limited := io.LimitReader(body, s.cfg.MaxUploadBytes+1)
-	hasher := sha256.New()
+// length header costs nothing. When a result journal is configured the
+// consumed bytes are hashed on the way through (the journal key's half);
+// without one there is nothing to key and bodyHash is empty. A
+// body past MaxUploadBytes, declared or streamed, fails with
+// errUploadTooLarge. On a parse error the consumed prefix is kept in the
+// quarantine directory (when configured) and the error carries the reader's
+// byte offset.
+func (s *Server) readUpload(r *http.Request) (traces []*trace.Trace, bodyHash, quarantined string, err error) {
+	tooLarge := func() error {
+		return fmt.Errorf("%w: body exceeds the %d byte limit", errUploadTooLarge, s.cfg.MaxUploadBytes)
+	}
+	if r.ContentLength > s.cfg.MaxUploadBytes {
+		return nil, "", "", tooLarge()
+	}
+	// One byte past the limit tells an oversize body from one that ends
+	// exactly at it.
+	limited := &io.LimitedReader{R: r.Body, N: s.cfg.MaxUploadBytes + 1}
+	var src io.Reader = limited
+	var hasher hash.Hash
+	if s.cfg.Journal != nil {
+		hasher = sha256.New()
+		src = io.TeeReader(src, hasher)
+	}
 	var spool *os.File
-	src := io.TeeReader(limited, hasher)
 	if s.cfg.QuarantineDir != "" {
 		os.MkdirAll(s.cfg.QuarantineDir, 0o755) //nolint:errcheck // capture below degrades gracefully
 		if f, ferr := os.CreateTemp(s.cfg.QuarantineDir, "upload-*.partial"); ferr == nil {
@@ -488,7 +514,7 @@ func (s *Server) readUpload(body io.Reader) (traces []*trace.Trace, bodyHash, qu
 			return
 		}
 		spool.Close()
-		if err == nil {
+		if err == nil || errors.Is(err, errUploadTooLarge) {
 			os.Remove(spool.Name())
 		} else {
 			quarantined = spool.Name()
@@ -499,21 +525,26 @@ func (s *Server) readUpload(body io.Reader) (traces []*trace.Trace, bodyHash, qu
 	tr.SetMaxChunkBytes(s.cfg.MaxChunkBytes)
 	for {
 		t, rerr := tr.Read()
+		if limited.N == 0 {
+			// The limit cut the body: whatever the reader made of the cut,
+			// the upload is refused for its size.
+			return nil, "", "", tooLarge()
+		}
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
 			return nil, "", "", rerr
 		}
-		if tr.Offset() > s.cfg.MaxUploadBytes {
-			return nil, "", "", fmt.Errorf("serve: upload exceeds %d byte limit", s.cfg.MaxUploadBytes)
-		}
 		traces = append(traces, t)
 	}
 	if len(traces) == 0 {
 		return nil, "", "", errors.New("serve: empty upload: no traces before EOF")
 	}
-	return traces, hex.EncodeToString(hasher.Sum(nil)), "", nil
+	if hasher != nil {
+		bodyHash = hex.EncodeToString(hasher.Sum(nil))
+	}
+	return traces, bodyHash, "", nil
 }
 
 // rotateQuarantine bounds the quarantine directory: oldest captures are

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzReadTrace throws arbitrary bytes at the length-prefixed wire format:
-// hostile length prefixes, truncated chunks, bit-flipped gob payloads and
-// trailing garbage must all come back as errors — never a panic, an unbounded
-// allocation, or a silently partial read. Streams that do decode must survive
-// a write/read round trip bit-stably.
+// hostile length prefixes, truncated chunks, bit-flipped headers and records,
+// malformed sample and event records, and trailing garbage must all come back
+// as errors — never a panic, an unbounded allocation, or a silently partial
+// read. Streams that do decode must survive a write/read round trip
+// bit-stably.
 func FuzzReadTrace(f *testing.F) {
 	valid := func(samples int) []byte {
 		t := &Trace{}
@@ -38,6 +39,9 @@ func FuzzReadTrace(f *testing.F) {
 		flip := append([]byte{}, one...)
 		flip[len(flip)/2] ^= 0x40
 		f.Add(flip)
+	}
+	for _, m := range malformedStreams(f) {
+		f.Add(m.data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -74,6 +78,9 @@ func FuzzReadTrace(f *testing.F) {
 			if len(back.Samples) != len(tr.Samples) {
 				t.Fatalf("trace %d round trip changed sample count: %d vs %d",
 					i, len(back.Samples), len(tr.Samples))
+			}
+			if j := firstBitDifference(back.Samples, tr.Samples); j >= 0 {
+				t.Fatalf("trace %d round trip changed the bits of sample %d", i, j)
 			}
 		}
 	})

@@ -22,13 +22,79 @@ func smallTrace(samples int) *Trace {
 	return t
 }
 
-func traceBytes(t *testing.T, tr *Trace) []byte {
-	t.Helper()
+func traceBytes(tb testing.TB, tr *Trace) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// rawChunk frames one chunk of the given kind around payload.
+func rawChunk(tb testing.TB, kind chunkKind, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := writeChunk(&buf, kind, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hostileStream hand-builds a trace stream: the magic, a header chunk for h,
+// then the given raw bytes.
+func hostileStream(tb testing.TB, h traceHeader, rest ...[]byte) []byte {
+	tb.Helper()
+	hb, err := encodeHeader(&h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := append([]byte(traceMagic), rawChunk(tb, chunkHeader, hb)...)
+	for _, r := range rest {
+		out = append(out, r...)
+	}
+	return out
+}
+
+// malformedStream is a wire-format violation every reader must reject with an
+// error containing want, which names where the bad chunk sits.
+type malformedStream struct {
+	name, want string
+	data       []byte
+}
+
+// malformedStreams lists the record-level violations; FuzzReadTrace seeds its
+// corpus with them.
+func malformedStreams(tb testing.TB) []malformedStream {
+	width := int(cupti.NumEvents)
+	oneSample := traceHeader{CounterWidth: width, SampleCount: 1}
+	oneEvent := traceHeader{CounterWidth: width, EventCount: 1}
+	// Every hand-built header chunk ends at the same offset.
+	body := len(hostileStream(tb, oneSample))
+	at := fmt.Sprintf("chunk at byte offset %d", body)
+	return []malformedStream{
+		{"partial sample record", at + ": 95 payload bytes are not a whole number",
+			hostileStream(tb, oneSample, rawChunk(tb, chunkSamples, make([]byte, sampleRecordBytes-1)))},
+		{"event name past chunk end", at + ": event name length 50 runs past the chunk end",
+			hostileStream(tb, oneEvent, rawChunk(tb, chunkEvents, []byte{50, 'c', 'o', 'n', 'v'}))},
+		{"truncated varint", at + ": record runs past the chunk end",
+			hostileStream(tb, oneEvent, rawChunk(tb, chunkEvents, []byte{1, 'x', 0x80}))},
+		{"unknown kind", "unknown chunk kind 9 at byte offset " + fmt.Sprint(body),
+			hostileStream(tb, oneSample, rawChunk(tb, chunkKind(9), nil))},
+		{"zero-length chunk", "empty chunk at byte offset " + fmt.Sprint(body),
+			hostileStream(tb, oneSample, []byte{0})},
+		{"counter width mismatch", fmt.Sprintf("declares %d counters per sample", width+1),
+			hostileStream(tb, traceHeader{CounterWidth: width + 1, SampleCount: 1},
+				rawChunk(tb, chunkSamples, make([]byte, sampleRecordBytes)), rawChunk(tb, chunkEnd, nil))},
+	}
+}
+
+func TestReadTraceRejectsMalformedRecords(t *testing.T) {
+	for _, m := range malformedStreams(t) {
+		if _, err := ReadTrace(bytes.NewReader(m.data)); err == nil || !strings.Contains(err.Error(), m.want) {
+			t.Errorf("%s: err = %v, want an error containing %q", m.name, err, m.want)
+		}
+	}
 }
 
 // Trailing garbage after a complete trace must fail loudly with the byte
@@ -124,12 +190,8 @@ func TestReadTraceHostileHeader(t *testing.T) {
 	}
 
 	// Negative header counts.
-	var buf bytes.Buffer
-	buf.WriteString(traceMagic)
-	if err := writeChunk(&buf, chunk{Kind: chunkHeader, Header: &traceHeader{SampleCount: -1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil ||
+	width := int(cupti.NumEvents)
+	if _, err := ReadTrace(bytes.NewReader(hostileStream(t, traceHeader{CounterWidth: width, SampleCount: -1}))); err == nil ||
 		!strings.Contains(err.Error(), "negative counts") {
 		t.Fatalf("negative sample count: err = %v, want negative-counts error", err)
 	}
@@ -137,16 +199,8 @@ func TestReadTraceHostileHeader(t *testing.T) {
 	// A header promising more samples than the chunks deliver, with extra
 	// sample chunks beyond the promise, must be caught by the overflow check
 	// rather than ballooning memory.
-	buf.Reset()
-	buf.WriteString(traceMagic)
-	if err := writeChunk(&buf, chunk{Kind: chunkHeader, Header: &traceHeader{SampleCount: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	twoSamples := []cupti.Sample{{}, {}}
-	if err := writeChunk(&buf, chunk{Kind: chunkSamples, Samples: twoSamples}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil ||
+	twoSamples := rawChunk(t, chunkSamples, make([]byte, 2*sampleRecordBytes))
+	if _, err := ReadTrace(bytes.NewReader(hostileStream(t, traceHeader{CounterWidth: width, SampleCount: 1}, twoSamples))); err == nil ||
 		!strings.Contains(err.Error(), "overflows the header") {
 		t.Fatalf("sample overflow: err = %v, want overflow error", err)
 	}

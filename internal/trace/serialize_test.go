@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
 	"leakydnn/internal/chaos"
+	"leakydnn/internal/cupti"
+	"leakydnn/internal/gpu"
 	"leakydnn/internal/zoo"
 )
 
@@ -68,6 +71,52 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 	// Labels (the alignment consumers actually use) must agree exactly.
 	if !reflect.DeepEqual(stripOpPointers(got.Labels()), stripOpPointers(orig.Labels())) {
 		t.Fatal("labels changed across the round trip")
+	}
+}
+
+// firstBitDifference returns the index of the first sample whose times or
+// counter bit patterns differ between a and b (equal lengths), or -1.
+func firstBitDifference(a, b []cupti.Sample) int {
+	for i := range a {
+		if a[i].Start != b[i].Start || a[i].End != b[i].End {
+			return i
+		}
+		for k := range a[i].Values {
+			if math.Float64bits(a[i].Values[k]) != math.Float64bits(b[i].Values[k]) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// Sample records carry raw float64 bit patterns: NaN payloads, negative zero,
+// infinities and subnormals come back bit for bit, and so do extreme times.
+func TestSampleRecordsKeepRawBits(t *testing.T) {
+	specials := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0abc), // quiet NaN with a payload
+		math.Float64frombits(0xfff0_0000_0000_0001), // negative signalling NaN
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64, 1.5,
+	}
+	tr := &Trace{}
+	for i := 0; i < 3; i++ {
+		var s cupti.Sample
+		s.Start, s.End = gpu.Nanos(math.MinInt64+int64(i)), gpu.Nanos(math.MaxInt64-int64(i))
+		for k := range s.Values {
+			s.Values[k] = specials[(i+k)%len(specials)]
+		}
+		tr.Samples = append(tr.Samples, s)
+	}
+	got, err := ReadTrace(bytes.NewReader(traceBytes(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Samples) != len(tr.Samples) {
+		t.Fatalf("read %d samples, wrote %d", len(got.Samples), len(tr.Samples))
+	}
+	if i := firstBitDifference(got.Samples, tr.Samples); i >= 0 {
+		t.Fatalf("sample %d changed bits: %+v vs %+v", i, got.Samples[i], tr.Samples[i])
 	}
 }
 
